@@ -82,6 +82,7 @@ struct IndexOptions {
 
   // -- SPB-tree -------------------------------------------------------------
   /// Bits per pivot dimension for the SFC grid. 0 = auto (<= 63 total).
+  /// At most 16, and pivots x bits <= 63: TryMakeIndex rejects wider keys.
   uint32_t spb_bits_per_dim = 0;
 };
 

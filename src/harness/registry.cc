@@ -9,6 +9,7 @@
 #include "src/external/omni.h"
 #include "src/external/pm_tree.h"
 #include "src/external/spb_tree.h"
+#include "src/storage/hilbert.h"
 #include "src/tables/aesa.h"
 #include "src/tables/cpt.h"
 #include "src/tables/ept.h"
@@ -101,6 +102,29 @@ std::vector<IndexSpec> BuildSpecs() {
   return specs;
 }
 
+// An SPB-tree key is one Hilbert curve position over all pivots, so the
+// pivot count and the bits per pivot must fit the curve.  A wider key
+// would corrupt answers (or the stack) in builds without assertions.
+// `pivot_count` is at least the index's min_pivots (1) here.
+Status CheckSpbKeyWidth(const IndexOptions& options, uint32_t pivot_count) {
+  const uint32_t bits = options.spb_bits_per_dim;
+  if (bits > HilbertCurve::kMaxBits) {
+    return InvalidArgumentError(
+        "spb_bits_per_dim must be <= " +
+        std::to_string(HilbertCurve::kMaxBits) + ", got " +
+        std::to_string(bits));
+  }
+  if (pivot_count == kAnyPivotCount) return OkStatus();
+  const uint32_t used = bits > 0 ? bits : HilbertCurve::AutoBits(pivot_count);
+  if (!HilbertCurve::Fits(pivot_count, used)) {
+    return InvalidArgumentError(
+        "SPB-tree keys need pivots x bits per pivot <= " +
+        std::to_string(HilbertCurve::kMaxKeyBits) + ", got " +
+        std::to_string(pivot_count) + " x " + std::to_string(used));
+  }
+  return OkStatus();
+}
+
 }  // namespace
 
 const std::vector<IndexSpec>& AllIndexSpecs() {
@@ -151,6 +175,9 @@ StatusOr<std::unique_ptr<MetricIndex>> TryMakeIndex(
     return InvalidArgumentError(
         name + " requires at least " + std::to_string(spec->min_pivots) +
         " pivots, got " + std::to_string(pivot_count));
+  }
+  if (spec->name == "SPB-tree") {
+    PMI_RETURN_IF_ERROR(CheckSpbKeyWidth(options, pivot_count));
   }
   return spec->make(options);
 }

@@ -42,8 +42,10 @@ const std::vector<IndexSpec>& AllIndexSpecs();
 const std::vector<IndexSpec>& FigureIndexSpecs();
 
 /// Recoverable factory by display name: kNotFound for unknown names,
-/// kInvalidArgument when `options` fail ValidateOptions or when
-/// `pivot_count` (if given) violates the index's min_pivots.  This is the
+/// kInvalidArgument when `options` fail ValidateOptions, when
+/// `pivot_count` (if given) violates the index's min_pivots, or when an
+/// SPB-tree's Hilbert key would not fit (spb_bits_per_dim > 16, more than
+/// 63 pivots, or pivots x spb_bits_per_dim > 63).  This is the
 /// constructor the facade layer uses; pass kAnyPivotCount to skip the
 /// pivot check when the pivot set is not known yet.
 inline constexpr uint32_t kAnyPivotCount = UINT32_MAX;

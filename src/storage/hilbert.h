@@ -2,8 +2,9 @@
 //
 // The SPB-tree (Section 5.4) maps pre-computed pivot distances to integer
 // SFC values "while (to some extent) maintaining spatial proximity"; this
-// is the curve it uses.  Implementation follows Skilling's public-domain
-// transpose algorithm (AxestoTranspose / TransposetoAxes, 2004).
+// is the curve it uses: Skilling's public-domain transpose algorithm
+// (AxestoTranspose / TransposetoAxes, 2004), run as one branch-free pass
+// over the key's bit string (see hilbert.cc).
 
 #ifndef PMI_STORAGE_HILBERT_H_
 #define PMI_STORAGE_HILBERT_H_
@@ -14,9 +15,19 @@ namespace pmi {
 
 /// Hilbert curve over `dims` dimensions with `bits` bits per dimension.
 /// Requires dims * bits <= 63 so keys fit a uint64 (and leave headroom
-/// for B+-tree sentinel use).
+/// for B+-tree sentinel use), and bits <= 16.
 class HilbertCurve {
  public:
+  static constexpr uint32_t kMaxKeyBits = 63;
+  static constexpr uint32_t kMaxBits = 16;
+
+  /// True when HilbertCurve(dims, bits) is a valid curve.
+  static bool Fits(uint32_t dims, uint32_t bits) {
+    return dims >= 1 && bits >= 1 && bits <= kMaxBits &&
+           dims <= kMaxKeyBits / bits;
+  }
+
+  /// Aborts, in every build mode, unless Fits(dims, bits).
   HilbertCurve(uint32_t dims, uint32_t bits);
 
   uint32_t dims() const { return dims_; }
@@ -33,8 +44,8 @@ class HilbertCurve {
 
   /// Convenience: picks the largest usable bits for `dims` (<= 16).
   static uint32_t AutoBits(uint32_t dims) {
-    uint32_t b = 63 / dims;
-    return b > 16 ? 16 : (b == 0 ? 1 : b);
+    uint32_t b = kMaxKeyBits / dims;
+    return b > kMaxBits ? kMaxBits : (b == 0 ? 1 : b);
   }
 
  private:

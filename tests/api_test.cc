@@ -102,6 +102,29 @@ TEST(TryMakeIndexTest, MinPivotsViolationIsRecoverable) {
   EXPECT_TRUE(TryMakeIndex("M-index*", IndexOptions{}, 2).ok());
 }
 
+TEST(TryMakeIndexTest, SpbTreeKeyWiderThanTheCurveIsRecoverable) {
+  // One Hilbert key holds every pivot's cell: pivots x bits <= 63 and
+  // bits <= 16.  The default (AutoBits) fits up to 63 pivots.
+  IndexOptions o;
+  auto code = [&](uint32_t pivots) {
+    return TryMakeIndex("SPB-tree", o, pivots).status().code();
+  };
+  EXPECT_EQ(code(63), StatusCode::kOk);
+  EXPECT_EQ(code(64), StatusCode::kInvalidArgument);
+  o.spb_bits_per_dim = 12;
+  EXPECT_EQ(code(5), StatusCode::kOk);
+  o.spb_bits_per_dim = 13;
+  EXPECT_EQ(code(5), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(kAnyPivotCount), StatusCode::kOk);  // count not known yet
+  o.spb_bits_per_dim = 16;
+  EXPECT_EQ(code(3), StatusCode::kOk);
+  o.spb_bits_per_dim = 17;
+  EXPECT_EQ(code(1), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(kAnyPivotCount), StatusCode::kInvalidArgument);
+  // The knob is SPB-tree's alone.
+  EXPECT_TRUE(TryMakeIndex("M-index*", o, 64).ok());
+}
+
 TEST(TryMakeIndexTest, MakesEveryRegisteredIndexAndLinearScan) {
   for (const IndexSpec& spec : AllIndexSpecs()) {
     auto r = TryMakeIndex(spec.name, IndexOptions{}, spec.min_pivots);
@@ -170,6 +193,22 @@ TEST(MetricDBTest, CreateRejectsBadInput) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);  // min_pivots via the facade
+  IndexOptions wide;
+  wide.spb_bits_per_dim = 13;
+  EXPECT_EQ(MetricDB::Create(MetricDBConfig()
+                                 .WithIndex("SPB-tree")
+                                 .WithPivots(5)
+                                 .WithOptions(wide),
+                             SmallVectors())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);  // 5 x 13 > 63 Hilbert key bits
+  EXPECT_EQ(MetricDB::Create(MetricDBConfig().WithIndex("SPB-tree").WithPivots(
+                                 64),
+                             SmallVectors())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);  // 64 pivots overflow the key
 }
 
 TEST(MetricDBTest, QueriesMatchTheRawHarness) {

@@ -127,6 +127,42 @@ TEST_P(EdgeCaseTest, RepeatedBuildsAreDeterministic) {
   }
 }
 
+TEST(SpbTreeKeyWidthTest, KeysThatFillTheCurveMatchLinearScan) {
+  // Shapes at the edge of the 63-bit Hilbert key: 1 bit per pivot, a
+  // full 63-bit key, and AutoBits's 16-bit cap.
+  TinyWorld world(300, false);
+  PivotSelectionOptions po;
+  po.sample_size = 300;
+  const struct {
+    uint32_t pivots, bits;
+  } shapes[] = {{1, 1}, {63, 1}, {21, 3}, {7, 9}, {5, 12}, {3, 16}};
+  for (const auto& shape : shapes) {
+    SCOPED_TRACE(std::to_string(shape.pivots) + " pivots x " +
+                 std::to_string(shape.bits) + " bits");
+    PivotSet pivots =
+        SelectSharedPivots(world.data, world.metric, shape.pivots, po);
+    ASSERT_EQ(pivots.size(), shape.pivots);
+    IndexOptions opts;
+    opts.spb_bits_per_dim = shape.bits;
+    auto made = TryMakeIndex("SPB-tree", opts, shape.pivots);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    std::unique_ptr<MetricIndex> spb = std::move(made).value();
+    LinearScan scan;
+    spb->Build(world.data, world.metric, pivots);
+    scan.Build(world.data, world.metric, pivots);
+    for (ObjectId q = 0; q < 300; q += 37) {
+      for (double r : {0.0, 5.0, 20.0}) {
+        std::vector<ObjectId> got, want;
+        spb->RangeQuery(world.data.view(q), r, &got);
+        scan.RangeQuery(world.data.view(q), r, &want);
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(got, want) << "q=" << q << " r=" << r;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllIndexes, EdgeCaseTest,
                          ::testing::ValuesIn(AllNames()), SafeName);
 

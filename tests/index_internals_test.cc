@@ -1,7 +1,7 @@
 // Structural white-box tests for index internals that the black-box
 // conformance suite cannot see: EPT row invariants, FQA sort order,
-// M-index cluster-tree invariants, SPB-tree key stability, CPT leaf
-// pointers, and EPT group-size estimation.
+// M-index cluster-tree invariants, SPB-tree key stability and golden
+// layout, CPT leaf pointers, and EPT group-size estimation.
 
 #include <algorithm>
 #include <memory>
@@ -126,6 +126,49 @@ TEST(SpbInternalsTest, KeysAreStableAcrossRemoveInsert) {
   EXPECT_EQ(out.size(), w.bd.data.size()) << "ghost or lost entries";
   // RAF grows (appends), but boundedly: 300 re-inserted word records.
   EXPECT_LT(spb.disk_bytes(), disk_before + 400 * 1024);
+}
+
+// FNV-1a over the keys' bytes, low byte first.
+uint64_t KeyDigest(const std::vector<uint64_t>& keys) {
+  uint64_t h = 14695981039346656037ull;
+  for (uint64_t key : keys) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (key >> (8 * b)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(SpbInternalsTest, GoldenLayoutPinsTheCurve) {
+  // The Hilbert curve fixes the SPB-tree's key order, hence its RAF
+  // layout, compdists and PA.  A curve change that still round-trips
+  // passes every answer-equality test but moves these checked-in values.
+  // Integer L-inf data and range queries keep them exact on every build.
+  World w(BenchDatasetId::kSynthetic, 2000);
+  SpbTree spb;
+  spb.Build(w.bd.data, *w.bd.metric, w.pivots);
+  const std::vector<uint64_t> keys = spb.KeysInOrder();
+  ASSERT_EQ(keys.size(), 2000u);
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  EXPECT_EQ(KeyDigest(keys), 0xc90ef9d336a6421full);
+  const struct {
+    ObjectId q;
+    double r_fraction;
+    uint64_t results, compdists, pa;
+  } golden[] = {
+      {0, 0.1, 1, 14, 2},
+      {17, 0.2, 14, 162, 7},
+      {1234, 0.3, 47, 707, 35},
+  };
+  for (const auto& g : golden) {
+    std::vector<ObjectId> out;
+    OpStats st = spb.RangeQuery(
+        w.bd.data.view(g.q), g.r_fraction * w.bd.metric->max_distance(), &out);
+    EXPECT_EQ(out.size(), g.results) << "q=" << g.q;
+    EXPECT_EQ(st.dist_computations, g.compdists) << "q=" << g.q;
+    EXPECT_EQ(st.page_accesses(), g.pa) << "q=" << g.q;
+  }
 }
 
 TEST(MIndexInternalsTest, ClusterSplitPreservesResults) {

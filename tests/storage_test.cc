@@ -1,5 +1,6 @@
 // Unit tests for the simulated-disk substrate: PagedFile (PA accounting,
-// LRU behaviour), RecordFile, the Hilbert curve, and the buffer pool's
+// LRU behaviour), RecordFile, the Hilbert curve (pinned bit for bit to a
+// frozen copy of Skilling's reference transforms), and the buffer pool's
 // behaviour over a faulting Env-backed page store.
 
 #include <algorithm>
@@ -236,6 +237,185 @@ TEST(BufferPoolFaultTest, BitFlipIsCaughtByPageChecksum) {
   EXPECT_EQ(h.status().code(), StatusCode::kDataLoss) << h.status().ToString();
   pool.UnregisterStore(sid);
   ASSERT_TRUE(Env::Default()->RemoveFile(path).ok());
+}
+
+// Frozen reference curve: Skilling's in-place transforms between axes
+// and the "transpose" form of the Hilbert index (bit-plane-major), plus
+// the plane interleave that makes the key, exactly as HilbertCurve ran
+// them before its branch-free kernel.  Public domain (J. Skilling,
+// "Programming the Hilbert curve", AIP 2004).  The SPB-tree's key order,
+// and so its RAF layout, PA and compdists, is defined by this curve:
+// HilbertCurve must equal it for every key and cell, not just round-trip.
+void AxesToTranspose(uint32_t* x, uint32_t bits, uint32_t n) {
+  uint32_t m = 1u << (bits - 1);
+  // Inverse undo.
+  for (uint32_t q = m; q > 1; q >>= 1) {
+    uint32_t p = q - 1;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (x[i] & q) {
+        x[0] ^= p;  // invert
+      } else {
+        uint32_t t = (x[0] ^ x[i]) & p;  // exchange
+        x[0] ^= t;
+        x[i] ^= t;
+      }
+    }
+  }
+  // Gray encode.
+  for (uint32_t i = 1; i < n; ++i) x[i] ^= x[i - 1];
+  uint32_t t = 0;
+  for (uint32_t q = m; q > 1; q >>= 1) {
+    if (x[n - 1] & q) t ^= q - 1;
+  }
+  for (uint32_t i = 0; i < n; ++i) x[i] ^= t;
+}
+
+void TransposeToAxes(uint32_t* x, uint32_t bits, uint32_t n) {
+  uint32_t nbit = 2u << (bits - 1);
+  // Gray decode by H ^ (H/2).
+  uint32_t t = x[n - 1] >> 1;
+  for (uint32_t i = n - 1; i > 0; --i) x[i] ^= x[i - 1];
+  x[0] ^= t;
+  // Undo excess work.
+  for (uint32_t q = 2; q != nbit; q <<= 1) {
+    uint32_t p = q - 1;
+    for (uint32_t i = n; i-- > 0;) {
+      if (x[i] & q) {
+        x[0] ^= p;
+      } else {
+        t = (x[0] ^ x[i]) & p;
+        x[0] ^= t;
+        x[i] ^= t;
+      }
+    }
+  }
+}
+
+uint64_t ReferenceEncode(uint32_t dims_, uint32_t bits_,
+                         const uint32_t* coords) {
+  uint32_t x[64];
+  for (uint32_t i = 0; i < dims_; ++i) {
+    x[i] = coords[i];
+  }
+  AxesToTranspose(x, bits_, dims_);
+  // Interleave the transpose bit-planes, MSB plane first: key bit
+  // (bits-1-b)*dims + (dims-1-i) ... equivalently walk planes outward.
+  uint64_t key = 0;
+  for (uint32_t b = bits_; b-- > 0;) {
+    for (uint32_t i = 0; i < dims_; ++i) {
+      key = (key << 1) | ((x[i] >> b) & 1u);
+    }
+  }
+  return key;
+}
+
+void ReferenceDecode(uint32_t dims_, uint32_t bits_, uint64_t key,
+                     uint32_t* coords) {
+  uint32_t x[64] = {0};
+  uint32_t total = bits_ * dims_;
+  for (uint32_t b = bits_; b-- > 0;) {
+    for (uint32_t i = 0; i < dims_; ++i) {
+      --total;
+      x[i] |= static_cast<uint32_t>((key >> total) & 1u) << b;
+    }
+  }
+  TransposeToAxes(x, bits_, dims_);
+  for (uint32_t i = 0; i < dims_; ++i) coords[i] = x[i];
+}
+
+// Asserts Decode(key) and Encode(cell) equal the reference; the cell is
+// the reference decode of `key`, so every key checked also checks one
+// cell.  Returns false (after recording the failure) on a mismatch.
+bool MatchesReference(const HilbertCurve& h, uint64_t key) {
+  const uint32_t dims = h.dims(), bits = h.bits();
+  uint32_t want[64], got[64];
+  ReferenceDecode(dims, bits, key, want);
+  h.Decode(key, got);
+  for (uint32_t i = 0; i < dims; ++i) {
+    if (got[i] != want[i]) {
+      ADD_FAILURE() << "Decode differs: dims=" << dims << " bits=" << bits
+                    << " key=" << key << " coord " << i << ": " << got[i]
+                    << " != " << want[i];
+      return false;
+    }
+  }
+  const uint64_t want_key = ReferenceEncode(dims, bits, want);
+  const uint64_t got_key = h.Encode(want);
+  if (got_key != want_key) {
+    ADD_FAILURE() << "Encode differs: dims=" << dims << " bits=" << bits
+                  << " cell of key " << key << ": " << got_key
+                  << " != " << want_key;
+    return false;
+  }
+  return true;
+}
+
+TEST(HilbertReferenceTest, MatchesExhaustivelyUpTo16KeyBits) {
+  for (uint32_t dims = 1; dims <= 16; ++dims) {
+    for (uint32_t bits = 1; dims * bits <= 16; ++bits) {
+      HilbertCurve h(dims, bits);
+      const uint64_t keys = 1ull << (dims * bits);
+      // The reference decode is a bijection, so this also checks Encode
+      // on every cell.
+      for (uint64_t key = 0; key < keys; ++key) {
+        if (!MatchesReference(h, key)) break;
+      }
+    }
+  }
+}
+
+TEST(HilbertReferenceTest, MatchesOnRandomKeysAtFullWidth) {
+  // AutoBits is also the widest fit (dims * bits <= 63) for these dims;
+  // 7 x 9, 9 x 7, 21 x 3 and 63 x 1 fill all 63 key bits.
+  for (uint32_t dims : {5u, 7u, 9u, 21u, 31u, 63u}) {
+    const uint32_t bits = HilbertCurve::AutoBits(dims);
+    ASSERT_EQ(bits, HilbertCurve::kMaxKeyBits / dims);
+    HilbertCurve h(dims, bits);
+    const uint64_t mask = (1ull << (dims * bits)) - 1;
+    Rng rng(20040 + dims);
+    for (int trial = 0; trial < 100000; ++trial) {
+      if (!MatchesReference(h, rng() & mask)) break;
+    }
+  }
+}
+
+TEST(HilbertReferenceTest, MatchesAtEveryShapeAndEdgeKey) {
+  // Every valid (dims, bits): bits = 1, dims * bits = 63, bits = 16, and
+  // everything between, on edge keys (all zeros, all ones, single bits,
+  // alternating patterns, top plane only) plus seeded random keys.
+  for (uint32_t dims = 1; dims <= HilbertCurve::kMaxKeyBits; ++dims) {
+    for (uint32_t bits = 1; HilbertCurve::Fits(dims, bits); ++bits) {
+      HilbertCurve h(dims, bits);
+      const uint32_t total = dims * bits;
+      const uint64_t mask = (1ull << total) - 1;
+      std::vector<uint64_t> keys = {0,
+                                    mask,
+                                    0x5555555555555555ull & mask,
+                                    0xAAAAAAAAAAAAAAAAull & mask,
+                                    mask ^ (mask >> dims),
+                                    mask >> dims};
+      for (uint32_t b = 0; b < total; ++b) keys.push_back(1ull << b);
+      Rng rng(dims * 64 + bits);
+      for (int trial = 0; trial < 500; ++trial) keys.push_back(rng() & mask);
+      for (uint64_t key : keys) {
+        if (!MatchesReference(h, key)) break;
+      }
+      std::vector<uint32_t> top(dims, h.max_coord());
+      EXPECT_EQ(h.Encode(top.data()), ReferenceEncode(dims, bits, top.data()));
+    }
+  }
+}
+
+TEST(HilbertReferenceTest, RejectsShapesThatDoNotFit) {
+  EXPECT_TRUE(HilbertCurve::Fits(63, 1));
+  EXPECT_TRUE(HilbertCurve::Fits(3, 16));
+  EXPECT_FALSE(HilbertCurve::Fits(0, 1));
+  EXPECT_FALSE(HilbertCurve::Fits(1, 0));
+  EXPECT_FALSE(HilbertCurve::Fits(64, 1));
+  EXPECT_FALSE(HilbertCurve::Fits(5, 13));
+  EXPECT_FALSE(HilbertCurve::Fits(1, 17));
+  EXPECT_DEATH(HilbertCurve(5, 13), "HilbertCurve");
+  EXPECT_DEATH(HilbertCurve(64, 1), "HilbertCurve");
 }
 
 TEST(HilbertTest, BijectiveExhaustiveSmall) {
